@@ -238,6 +238,15 @@ class BlobPack:
             self._fh.seek(0, os.SEEK_END)
             return self._fh.tell()
 
+    def truncate(self, size: int) -> None:
+        """Drop every record appended past ``size`` (a prior :meth:`size`).
+
+        Undoes the appends of an ingest whose catalog rows rolled back.
+        """
+        with self._lock:
+            self._fh.truncate(size)
+            self._fh.flush()
+
     def iter_records(self) -> Iterator[Tuple[bytes, int, int, int]]:
         """Replay the pack: yields (sha, kind, offset, length) per record.
 

@@ -11,8 +11,13 @@ is set algebra over blob-id pairs and corpus-wide hot paths are one
 
 Schema (version 1) is documented in ``docs/FORMATS.md``.  All access
 is serialized behind one lock, same discipline as
-:class:`repro.store.catalog.TraceCatalog`; a run's rows land in one
-transaction so a crashed ingest never leaves a partial run visible.
+:class:`repro.store.catalog.TraceCatalog`.  Ingest writes through
+:meth:`CorpusCatalog.transaction`: a run's new blob rows, its ref
+bumps and its ``runs``/``functions``/``pairs``/``dcg_chunks`` rows
+commit together, once per run.  A failed ingest rolls all of them
+back, and :class:`~repro.corpus.corpus.TraceCorpus` truncates the pack
+to its size before the run and removes the run's manifest, so a
+failure leaves no trace of the run.
 """
 
 from __future__ import annotations
@@ -20,8 +25,9 @@ from __future__ import annotations
 import os
 import sqlite3
 import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 PathLike = Union[str, "os.PathLike[str]"]
 
@@ -130,6 +136,85 @@ _RUN_COLUMNS = (
 )
 
 
+class CatalogTransaction:
+    """The write statements of one run's ingest, run inside the open
+    transaction of :meth:`CorpusCatalog.transaction` (which holds the
+    catalog lock).  Nothing here commits."""
+
+    def __init__(self, db: sqlite3.Connection) -> None:
+        self._db = db
+
+    def blob_id(self, sha: bytes) -> Optional[int]:
+        """The id of a known blob, or None; sees this transaction's rows."""
+        row = self._db.execute(
+            "SELECT id FROM blobs WHERE sha = ?", (sha,)
+        ).fetchone()
+        return row[0] if row is not None else None
+
+    def add_blob(self, sha: bytes, kind: int, offset: int, length: int) -> int:
+        """Register a freshly packed blob; returns its id (refs = 1)."""
+        cur = self._db.execute(
+            "INSERT INTO blobs (sha, kind, offset, length, refs)"
+            " VALUES (?, ?, ?, ?, 1)",
+            (sha, kind, offset, length),
+        )
+        return cur.lastrowid
+
+    def bump_ref(self, blob_id: int) -> None:
+        self._db.execute(
+            "UPDATE blobs SET refs = refs + 1 WHERE id = ?", (blob_id,)
+        )
+
+    def add_run(
+        self,
+        record: CorpusRun,
+        function_rows: Sequence[Tuple[int, str, int, int]],
+        pair_rows: Sequence[Tuple[str, int, int, int, int]],
+        dcg_chunk_ids: Sequence[int],
+    ) -> int:
+        """Insert one run and all its membership rows.
+
+        ``function_rows`` are (original_index, name, call_count, pairs);
+        ``pair_rows`` are (func, position, body_blob, dict_blob, weight).
+        """
+        cur = self._db.execute(
+            f"INSERT INTO runs ({_RUN_COLUMNS})"
+            " VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
+            (
+                record.run,
+                record.source,
+                record.manifest_path,
+                record.twpp_bytes,
+                record.manifest_bytes,
+                record.blobs_added,
+                record.blobs_shared,
+                record.bytes_added,
+                record.bytes_shared,
+                record.functions,
+                record.pairs,
+                record.calls,
+                record.dcg_nodes,
+            ),
+        )
+        run_id = cur.lastrowid
+        self._db.executemany(
+            "INSERT INTO functions (run_id, original_index, name,"
+            " call_count, pairs) VALUES (?, ?, ?, ?, ?)",
+            [(run_id, *row) for row in function_rows],
+        )
+        self._db.executemany(
+            "INSERT INTO pairs (run_id, func, position, body_blob,"
+            " dict_blob, weight) VALUES (?, ?, ?, ?, ?, ?)",
+            [(run_id, *row) for row in pair_rows],
+        )
+        self._db.executemany(
+            "INSERT INTO dcg_chunks (run_id, position, blob_id)"
+            " VALUES (?, ?, ?)",
+            [(run_id, pos, bid) for pos, bid in enumerate(dcg_chunk_ids)],
+        )
+        return run_id
+
+
 class CorpusCatalog:
     """SQLite-backed index of a corpus's blobs, runs, and membership."""
 
@@ -148,6 +233,17 @@ class CorpusCatalog:
         with self._lock:
             self._db.close()
 
+    @contextmanager
+    def transaction(self) -> Iterator[CatalogTransaction]:
+        """Hold the catalog for one run's writes and commit them as one.
+
+        Commits once on a clean exit and rolls every statement back on
+        an exception.  Other catalog calls wait on the lock meanwhile,
+        so none sees a run half written.
+        """
+        with self._lock, self._db:
+            yield CatalogTransaction(self._db)
+
     # ---- blobs --------------------------------------------------------
 
     def blob_id(self, sha: bytes) -> Optional[Tuple[int, int, int, int]]:
@@ -158,22 +254,6 @@ class CorpusCatalog:
                 (sha,),
             ).fetchone()
         return row
-
-    def add_blob(self, sha: bytes, kind: int, offset: int, length: int) -> int:
-        """Register a freshly packed blob; returns its id (refs = 1)."""
-        with self._lock, self._db:
-            cur = self._db.execute(
-                "INSERT INTO blobs (sha, kind, offset, length, refs)"
-                " VALUES (?, ?, ?, ?, 1)",
-                (sha, kind, offset, length),
-            )
-            return cur.lastrowid
-
-    def bump_ref(self, blob_id: int) -> None:
-        with self._lock, self._db:
-            self._db.execute(
-                "UPDATE blobs SET refs = refs + 1 WHERE id = ?", (blob_id,)
-            )
 
     def blob(self, blob_id: int) -> Tuple[bytes, int, int, int, int]:
         """(sha, kind, offset, length, refs) for one blob id."""
@@ -196,56 +276,6 @@ class CorpusCatalog:
         return {kind: (count, total or 0) for kind, count, total in rows}
 
     # ---- runs ---------------------------------------------------------
-
-    def add_run(
-        self,
-        record: CorpusRun,
-        function_rows: Sequence[Tuple[int, str, int, int]],
-        pair_rows: Sequence[Tuple[str, int, int, int, int]],
-        dcg_chunk_ids: Sequence[int],
-    ) -> int:
-        """Insert one run and all its membership rows in one transaction.
-
-        ``function_rows`` are (original_index, name, call_count, pairs);
-        ``pair_rows`` are (func, position, body_blob, dict_blob, weight).
-        """
-        with self._lock, self._db:
-            cur = self._db.execute(
-                f"INSERT INTO runs ({_RUN_COLUMNS})"
-                " VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
-                (
-                    record.run,
-                    record.source,
-                    record.manifest_path,
-                    record.twpp_bytes,
-                    record.manifest_bytes,
-                    record.blobs_added,
-                    record.blobs_shared,
-                    record.bytes_added,
-                    record.bytes_shared,
-                    record.functions,
-                    record.pairs,
-                    record.calls,
-                    record.dcg_nodes,
-                ),
-            )
-            run_id = cur.lastrowid
-            self._db.executemany(
-                "INSERT INTO functions (run_id, original_index, name,"
-                " call_count, pairs) VALUES (?, ?, ?, ?, ?)",
-                [(run_id, *row) for row in function_rows],
-            )
-            self._db.executemany(
-                "INSERT INTO pairs (run_id, func, position, body_blob,"
-                " dict_blob, weight) VALUES (?, ?, ?, ?, ?, ?)",
-                [(run_id, *row) for row in pair_rows],
-            )
-            self._db.executemany(
-                "INSERT INTO dcg_chunks (run_id, position, blob_id)"
-                " VALUES (?, ?, ?)",
-                [(run_id, pos, bid) for pos, bid in enumerate(dcg_chunk_ids)],
-            )
-            return run_id
 
     def run(self, run: str) -> Optional[CorpusRun]:
         with self._lock:

@@ -39,14 +39,14 @@ from .blobs import (
     decode_dcg_chunk,
     decode_dictionary,
 )
-from .catalog import CorpusCatalog, CorpusRun
+from .catalog import CatalogTransaction, CorpusCatalog, CorpusRun
 from .manifest import (
     ManifestFunction,
     RunDigest,
     RunManifest,
     assemble_dcg,
     encode_manifest,
-    scan_run,
+    scan_file,
 )
 
 PathLike = Union[str, "os.PathLike[str]"]
@@ -216,7 +216,9 @@ class TraceCorpus:
 
     def _scan(self, path: str) -> RunDigest:
         with self.metrics.timer("corpus.scan"):
-            return scan_run(self._session.engine(path))
+            return scan_file(
+                path, self._session._engines.get(path), self.metrics
+            )
 
     def _scan_pooled(self, paths: List[str], pool) -> Optional[List[RunDigest]]:
         """Digest many files across the pool; ``None`` = fall back."""
@@ -244,101 +246,126 @@ class TraceCorpus:
     ) -> IngestResult:
         with self._ingest_lock, self.metrics.timer("corpus.ingest"):
             self._check_run_name(run)
-            ids: Dict[bytes, int] = {}
-            blobs_added = blobs_shared = bytes_added = bytes_shared = 0
-            for sha, kind, payload in digest.blobs:
-                row = self._catalog.blob_id(sha)
-                if row is None:
-                    offset, length = self._pack.append(kind, payload)
-                    ids[sha] = self._catalog.add_blob(
-                        sha, kind, offset, length
-                    )
-                    blobs_added += 1
-                    bytes_added += length
-                else:
-                    self._catalog.bump_ref(row[0])
-                    ids[sha] = row[0]
-                    blobs_shared += 1
-                    bytes_shared += len(payload)
-
-            functions = []
-            function_rows = []
-            pair_rows = []
-            for index, fn in enumerate(digest.functions):
-                bodies = tuple(ids[sha] for sha in fn.body_shas)
-                dicts = tuple(ids[sha] for sha in fn.dict_shas)
-                functions.append(
-                    ManifestFunction(
-                        name=fn.name,
-                        call_count=fn.call_count,
-                        bodies=bodies,
-                        dicts=dicts,
-                        pairs=fn.pairs,
-                    )
-                )
-                function_rows.append(
-                    (index, fn.name, fn.call_count, len(fn.pairs))
-                )
-                for pos, (body_idx, dict_idx) in enumerate(fn.pairs):
-                    pair_rows.append(
-                        (
-                            fn.name,
-                            pos,
-                            bodies[body_idx],
-                            dicts[dict_idx],
-                            fn.weights[pos],
-                        )
-                    )
-
-            manifest = RunManifest(
-                run=run,
-                source=source,
-                dcg_nodes=digest.dcg_nodes,
-                dcg_chunks=tuple(ids[sha] for sha in digest.dcg_shas),
-                functions=tuple(functions),
-            )
-            data = encode_manifest(manifest)
             manifest_path = self.root / RUNS_DIR / f"{run}.manifest"
-            manifest_path.write_bytes(data)
-
-            record = CorpusRun(
-                run=run,
-                source=source,
-                manifest_path=str(manifest_path),
-                twpp_bytes=digest.twpp_bytes,
-                manifest_bytes=len(data),
-                blobs_added=blobs_added,
-                blobs_shared=blobs_shared,
-                bytes_added=bytes_added,
-                bytes_shared=bytes_shared,
-                functions=len(digest.functions),
-                pairs=len(pair_rows),
-                calls=sum(fn.call_count for fn in digest.functions),
-                dcg_nodes=digest.dcg_nodes,
-            )
-            self._catalog.add_run(
-                record, function_rows, pair_rows, manifest.dcg_chunks
-            )
+            pack_size = self._pack.size()
+            try:
+                with self._catalog.transaction() as txn:
+                    record = self._write_run(
+                        txn, run, source, digest, manifest_path
+                    )
+            except BaseException:
+                # The catalog rolled back; undo the pack appends too.
+                # The run is not catalogued, so a manifest at its path
+                # is this attempt's.
+                self._pack.truncate(pack_size)
+                manifest_path.unlink(missing_ok=True)
+                raise
 
         self.metrics.inc("corpus.runs_ingested")
-        self.metrics.inc("corpus.blobs_added", blobs_added)
-        self.metrics.inc("corpus.blobs_shared", blobs_shared)
-        self.metrics.inc("corpus.bytes_added", bytes_added)
-        self.metrics.inc("corpus.bytes_shared", bytes_shared)
-        self.metrics.observe("corpus.manifest_bytes", len(data))
+        self.metrics.inc("corpus.blobs_added", record.blobs_added)
+        self.metrics.inc("corpus.blobs_shared", record.blobs_shared)
+        self.metrics.inc("corpus.bytes_added", record.bytes_added)
+        self.metrics.inc("corpus.bytes_shared", record.bytes_shared)
+        self.metrics.observe("corpus.manifest_bytes", record.manifest_bytes)
         return IngestResult(
             run=run,
             source=source,
             twpp_bytes=record.twpp_bytes,
             manifest_bytes=record.manifest_bytes,
-            blobs_added=blobs_added,
-            blobs_shared=blobs_shared,
-            bytes_added=bytes_added,
-            bytes_shared=bytes_shared,
+            blobs_added=record.blobs_added,
+            blobs_shared=record.blobs_shared,
+            bytes_added=record.bytes_added,
+            bytes_shared=record.bytes_shared,
             functions=record.functions,
             pairs=record.pairs,
             calls=record.calls,
         )
+
+    def _write_run(
+        self,
+        txn: CatalogTransaction,
+        run: str,
+        source: str,
+        digest: RunDigest,
+        manifest_path: Path,
+    ) -> CorpusRun:
+        """Pack new blobs, write the manifest, and catalog one run.
+
+        Blob ids are assigned in the digest's first-reference order,
+        so the catalog, pack and manifest come out the same for the
+        same inputs.
+        """
+        ids: Dict[bytes, int] = {}
+        blobs_added = blobs_shared = bytes_added = bytes_shared = 0
+        for sha, kind, payload in digest.blobs:
+            blob_id = txn.blob_id(sha)
+            if blob_id is None:
+                offset, length = self._pack.append(kind, payload)
+                ids[sha] = txn.add_blob(sha, kind, offset, length)
+                blobs_added += 1
+                bytes_added += length
+            else:
+                txn.bump_ref(blob_id)
+                ids[sha] = blob_id
+                blobs_shared += 1
+                bytes_shared += len(payload)
+
+        functions = []
+        function_rows = []
+        pair_rows = []
+        for index, fn in enumerate(digest.functions):
+            bodies = tuple(ids[sha] for sha in fn.body_shas)
+            dicts = tuple(ids[sha] for sha in fn.dict_shas)
+            functions.append(
+                ManifestFunction(
+                    name=fn.name,
+                    call_count=fn.call_count,
+                    bodies=bodies,
+                    dicts=dicts,
+                    pairs=fn.pairs,
+                )
+            )
+            function_rows.append(
+                (index, fn.name, fn.call_count, len(fn.pairs))
+            )
+            for pos, (body_idx, dict_idx) in enumerate(fn.pairs):
+                pair_rows.append(
+                    (
+                        fn.name,
+                        pos,
+                        bodies[body_idx],
+                        dicts[dict_idx],
+                        fn.weights[pos],
+                    )
+                )
+
+        manifest = RunManifest(
+            run=run,
+            source=source,
+            dcg_nodes=digest.dcg_nodes,
+            dcg_chunks=tuple(ids[sha] for sha in digest.dcg_shas),
+            functions=tuple(functions),
+        )
+        data = encode_manifest(manifest)
+        manifest_path.write_bytes(data)
+
+        record = CorpusRun(
+            run=run,
+            source=source,
+            manifest_path=str(manifest_path),
+            twpp_bytes=digest.twpp_bytes,
+            manifest_bytes=len(data),
+            blobs_added=blobs_added,
+            blobs_shared=blobs_shared,
+            bytes_added=bytes_added,
+            bytes_shared=bytes_shared,
+            functions=len(digest.functions),
+            pairs=len(pair_rows),
+            calls=sum(fn.call_count for fn in digest.functions),
+            dcg_nodes=digest.dcg_nodes,
+        )
+        txn.add_run(record, function_rows, pair_rows, manifest.dcg_chunks)
+        return record
 
     # ---- reads --------------------------------------------------------
 

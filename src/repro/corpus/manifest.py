@@ -26,6 +26,7 @@ import os
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
+from ..compact.qserve import QueryEngine
 from ..trace.dcg import DynamicCallGraph
 from ..trace.encoding import (
     check_count,
@@ -245,6 +246,20 @@ def scan_run(engine) -> RunDigest:
         blobs=tuple((sha, k, p) for sha, (k, p) in blobs.items()),
         twpp_bytes=os.stat(engine.path).st_size,
     )
+
+
+def scan_file(path: str, warm=None, metrics=None) -> RunDigest:
+    """Digest one ``.twpp`` path without leaving an engine open for it.
+
+    ``warm`` is the caller's already open engine for the path, if any,
+    and serves the scan; otherwise a transient uncached engine does and
+    is closed before returning, so a scan pins neither the file's mmap
+    nor a decoded cache.
+    """
+    if warm is not None:
+        return scan_run(warm)
+    with QueryEngine(path, cache_bytes=0, metrics=metrics) as engine:
+        return scan_run(engine)
 
 
 def assemble_dcg(node_count: int, chunks: List[bytes]) -> DynamicCallGraph:

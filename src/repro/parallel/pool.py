@@ -193,9 +193,11 @@ class _WorkerState:
             )
         if kind == "corpus_scan":
             _, path = item
-            from ..corpus.manifest import encode_digest, scan_run
+            from ..corpus.manifest import encode_digest, scan_file
 
-            return encode_digest(scan_run(self.engine(path)))
+            return encode_digest(
+                scan_file(path, self._engines.get(path), self.metrics)
+            )
         if kind == "analyze":
             return self._analyze(item)
         if kind == "freq":

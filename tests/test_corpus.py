@@ -7,8 +7,13 @@ smaller runs' bodies, dictionaries, and DCG prefix chunks all reappear
 in larger runs.
 """
 
+import sqlite3
+from collections import Counter
+from pathlib import Path
+
 import pytest
 
+import repro.corpus.corpus as corpus_module
 from repro.api import Session
 from repro.analysis.hotpaths import path_profile_compacted
 from repro.compact.delta import diff_twpp_files
@@ -19,6 +24,7 @@ from repro.corpus import (
     TraceCorpus,
     decode_manifest,
 )
+from repro.corpus.catalog import CatalogTransaction
 from repro.trace import collect_wpp, partition_wpp
 from repro.workloads import workload
 
@@ -264,6 +270,142 @@ class TestStorage:
             # order puts them after every body and dictionary).
             with pytest.raises(ValueError, match="content check"):
                 corpus.dcg("r")
+
+
+def committed_rows(root):
+    """Every committed catalog row, read through a second connection."""
+    db = sqlite3.connect(str(root / "corpus.sqlite"))
+    try:
+        return {
+            table: db.execute(f"SELECT * FROM {table} ORDER BY rowid").fetchall()
+            for table in ("blobs", "runs", "functions", "pairs", "dcg_chunks")
+        }
+    finally:
+        db.close()
+
+
+def assert_pack_replays_to_catalog(corpus):
+    replayed = list(corpus._pack.iter_records())
+    assert len(replayed) == sum(
+        count for count, _ in corpus._catalog.blob_totals().values()
+    )
+    for sha, kind, offset, length in replayed:
+        row = corpus._catalog.blob_id(sha)
+        assert row is not None
+        assert (row[1], row[2], row[3]) == (kind, offset, length)
+
+
+def assert_refs_count_manifests(corpus):
+    """Each blob's refs is the number of runs whose manifest uses it."""
+    uses = Counter()
+    for record in corpus.runs():
+        manifest = decode_manifest(Path(record.manifest_path).read_bytes())
+        ids = set(manifest.dcg_chunks)
+        for fn in manifest.functions:
+            ids.update(fn.bodies)
+            ids.update(fn.dicts)
+        uses.update(ids)
+    refs = {
+        blob_id: refs
+        for blob_id, _sha, _kind, _offset, _length, refs in committed_rows(
+            corpus.root
+        )["blobs"]
+    }
+    assert refs == dict(uses)
+
+
+def fail_manifest_encode(monkeypatch):
+    def boom(manifest):
+        raise RuntimeError("injected failure before the manifest")
+
+    monkeypatch.setattr(corpus_module, "encode_manifest", boom)
+
+
+def fail_run_insert(monkeypatch):
+    def boom(self, *args):
+        raise RuntimeError("injected failure at the run row")
+
+    monkeypatch.setattr(CatalogTransaction, "add_run", boom)
+
+
+class TestIngestTransaction:
+    @pytest.mark.parametrize(
+        "inject", [fail_manifest_encode, fail_run_insert]
+    )
+    def test_failed_ingest_leaves_nothing_behind(
+        self, corpus_env, tmp_path, monkeypatch, inject
+    ):
+        session, _, paths, _ = corpus_env
+        with TraceCorpus(tmp_path / "clean", session=session) as clean:
+            clean.ingest(paths["li-a"], run="a")
+            expected = clean.ingest(paths["li-b"], run="b")
+        with TraceCorpus(tmp_path / "c", session=session) as corpus:
+            corpus.ingest(paths["li-a"], run="a")
+            rows = committed_rows(corpus.root)
+            pack_size = corpus._pack.size()
+            with monkeypatch.context() as patch:
+                inject(patch)
+                with pytest.raises(RuntimeError, match="injected"):
+                    corpus.ingest(paths["li-b"], run="b")
+            assert committed_rows(corpus.root) == rows
+            assert corpus._pack.size() == pack_size
+            assert not (corpus.root / "runs" / "b.manifest").exists()
+            assert_pack_replays_to_catalog(corpus)
+            assert_refs_count_manifests(corpus)
+
+            # The retry is indistinguishable from a clean ingest.
+            assert corpus.ingest(paths["li-b"], run="b") == expected
+        for name in ("blobs.pack", "runs/a.manifest", "runs/b.manifest"):
+            assert (tmp_path / "c" / name).read_bytes() == (
+                tmp_path / "clean" / name
+            ).read_bytes()
+
+    def test_refs_count_manifest_references(self, corpus_env, tmp_path):
+        session, corpus, paths, _ = corpus_env
+        assert_refs_count_manifests(corpus)  # serial ingest_runs
+        with TraceCorpus(tmp_path / "pooled", session=session) as pooled:
+            pooled.ingest_runs(list(paths.values()), jobs=2)
+            assert_refs_count_manifests(pooled)
+        with TraceCorpus(tmp_path / "again", session=session) as again:
+            again.ingest(paths["li-a"], run="one")
+            again.ingest(paths["li-b"], run="two")
+            again.ingest(paths["li-a"], run="three")
+            assert_refs_count_manifests(again)
+
+    def test_one_commit_per_ingested_run(self, corpus_env, tmp_path):
+        session, _, paths, _ = corpus_env
+        with TraceCorpus(tmp_path / "c", session=session) as corpus:
+            statements = []
+            corpus._catalog._db.set_trace_callback(statements.append)
+            corpus.ingest(paths["li-a"], run="one")
+            corpus.ingest(paths["li-a"], run="two")  # every blob shared
+            corpus.ingest_runs([paths["li-b"], paths["ijpeg"]])
+            corpus._catalog._db.set_trace_callback(None)
+        assert statements.count("COMMIT") == 4
+        assert "ROLLBACK" not in statements
+
+    def test_scan_does_not_pin_engines(self, corpus_env, tmp_path):
+        _, _, paths, _ = corpus_env
+        with Session() as session, session.corpus(tmp_path / "c") as corpus:
+            corpus.ingest(paths["li-a"], run="cold")
+            assert len(session._engines) == 0
+
+            warm = session.engine(paths["li-b"])
+            warm.traces(warm.header.entries[0].name)
+            corpus.ingest(paths["li-b"], run="warm")
+            assert session._engines == {str(paths["li-b"]): warm}
+            assert warm.cache_stats()["bytes"] > 0
+
+    def test_pooled_scan_does_not_pin_worker_engines(
+        self, corpus_env, tmp_path
+    ):
+        _, _, paths, _ = corpus_env
+        with Session(jobs=2) as session, \
+                session.corpus(tmp_path / "c") as corpus:
+            corpus.ingest_runs([paths["li-a"], paths["li-b"]])
+            stats = session.pool().worker_stats()
+            assert session.metrics.counter("corpus.scan_pooled") == 2
+            assert all(worker["caches"] == {} for worker in stats)
 
 
 class TestSessionFacade:
